@@ -170,6 +170,10 @@ struct NetsimPoint {
 };
 
 NetsimPoint run_netsim_sweep(netsim::EvqBackend backend, std::uint64_t total_packets) {
+  // One pool for the whole sweep (single-threaded dispatch): env-gated, so
+  // JQOS_OBJ_POOL=0 measures the pre-pool allocating path for comparison.
+  // Declared first so it outlives every packet the fabric holds.
+  PacketPool pool;
   netsim::Simulator sim(backend);
   netsim::Network net(sim);
   Rng rng(7);
@@ -177,10 +181,6 @@ NetsimPoint run_netsim_sweep(netsim::EvqBackend backend, std::uint64_t total_pac
   constexpr std::size_t kFlows = 16;
   constexpr std::size_t kWindow = 256;  // Outstanding packets per flow.
   const std::uint64_t per_flow = total_packets / kFlows;
-
-  // One pool for the whole sweep (single-threaded dispatch): env-gated, so
-  // JQOS_OBJ_POOL=0 measures the pre-pool allocating path for comparison.
-  PacketPool pool;
 
   struct Pump final : netsim::Node {
     netsim::Network& net;
@@ -295,62 +295,6 @@ bench::ThreadsSweepRow run_sharded_scenario(unsigned threads, SimDuration durati
   return point;
 }
 
-// ---------------- intra-group conservative-lane sweep ----------------------
-//
-// Sharding stops at the (DC1,DC2) interaction-group boundary: a deployment
-// whose paths all share one DC pair is a single shard no matter how many
-// cores the machine has. Conservative PDES lanes (docs/DETERMINISM.md,
-// netsim::Simulator::configure_lanes) attack exactly that residual serial
-// fraction by partitioning the group's endpoint-side work. The sweep runs
-// one fig8-shaped single-group deployment per lane count; the determinism
-// contract makes every row process the IDENTICAL event set (CI validates
-// the equality), so wall-clock is the only thing allowed to vary.
-struct LaneSweepRow {
-  std::size_t lanes = 0;
-  double wall_sec = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t packets = 0;
-};
-
-LaneSweepRow run_intra_group_lanes(std::size_t lanes, SimDuration duration,
-                                   double packets_per_second) {
-  Rng rng(43);
-  auto paths = geo::planetlab_paths(8, rng);
-  // One (DC1, DC2) pair: the whole deployment is one interaction group.
-  for (auto& p : paths) {
-    p.dc1 = paths[0].dc1;
-    p.dc2 = paths[0].dc2;
-  }
-
-  exp::WanScenarioParams params;
-  params.service = ServiceType::kCode;
-  params.seed = 43;
-  params.coding.k = 6;
-  params.coding.cross_coded = 2;
-  params.coding.in_block = 5;
-  params.coding.in_coded = 1;
-  params.coding.queue_timeout = msec(300);
-  params.cbr.on_duration = minutes(2);
-  params.cbr.mean_off = minutes(1);
-  params.cbr.packets_per_second = packets_per_second;
-  params.lanes = lanes;
-  params.lane_threads = 0;  // JQOS_SIM_THREADS / hardware concurrency.
-
-  const auto start = std::chrono::steady_clock::now();
-  exp::WanScenario sc(std::move(paths), params);
-  sc.run(duration);
-
-  LaneSweepRow row;
-  row.lanes = lanes;
-  row.wall_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  row.events = sc.sim().events_processed();
-  for (std::size_t i = 0; i < sc.path_count(); ++i) {
-    row.packets += static_cast<std::uint64_t>(sc.path(i).outcome.size());
-  }
-  return row;
-}
-
 }  // namespace
 
 BENCHMARK(BM_EncodeThroughput)
@@ -386,13 +330,6 @@ int main(int argc, char** argv) {
     sharded_points.push_back(run_sharded_scenario(t, sweep_duration, sweep_pps));
   }
 
-  // Intra-group lane sweep: the single-shard deployment sharding cannot
-  // split, at 1/2/4 conservative lanes. Events must match across rows.
-  std::vector<LaneSweepRow> lane_points;
-  for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    lane_points.push_back(run_intra_group_lanes(lanes, sweep_duration, sweep_pps));
-  }
-
   const auto points = sweep_backends();
   double scalar_mbps = 0.0;
   for (const auto& p : points) {
@@ -401,17 +338,6 @@ int main(int argc, char** argv) {
   if (json) {
     jqos::bench::emit_threads_sweep("fig10_scalability", "sharded_scenario",
                                     sharded_points);
-    const double lane_base_wall = lane_points.front().wall_sec;
-    for (const auto& p : lane_points) {
-      jqos::bench::JsonRow("fig10_scalability")
-          .add("name", "intra_group_lanes")
-          .add("lanes", static_cast<std::uint64_t>(p.lanes))
-          .add("wall_sec", p.wall_sec)
-          .add("events", p.events)
-          .add("packets", p.packets)
-          .add("speedup_vs_1lane", p.wall_sec > 0 ? lane_base_wall / p.wall_sec : 0.0)
-          .emit();
-    }
     for (const auto& p : netsim_points) {
       jqos::bench::JsonRow row("fig10_scalability");
       row.add("name", "netsim_dispatch")
@@ -450,18 +376,6 @@ int main(int argc, char** argv) {
                 jqos::format_duration(sweep_duration).c_str());
   jqos::bench::print_threads_sweep(sweep_header, sharded_points);
   std::printf("\n");
-
-  std::printf("== Intra-group conservative lanes: 8 paths, ONE (DC1,DC2) group ==\n");
-  std::printf("%-6s %12s %12s %10s %14s\n", "lanes", "events", "packets", "wall_s",
-              "vs 1 lane");
-  const double lane_base_wall = lane_points.front().wall_sec;
-  for (const auto& p : lane_points) {
-    std::printf("%-6zu %12llu %12llu %10.2f %13.2fx\n", p.lanes,
-                static_cast<unsigned long long>(p.events),
-                static_cast<unsigned long long>(p.packets), p.wall_sec,
-                p.wall_sec > 0 ? lane_base_wall / p.wall_sec : 0.0);
-  }
-  std::printf("(identical events across rows = the lane determinism contract)\n\n");
 
   std::printf("== Netsim packet dispatch: %llu simulated packets, per event-queue backend ==\n",
               static_cast<unsigned long long>(sim_packets));

@@ -1,10 +1,10 @@
 // Generic freelist object pool with RAII checkout handles.
 //
 // The steady-state packet path must not touch the global allocator (see
-// docs/MEMORY.md): every shard -- and, with lanes enabled, every lane --
-// owns pools for the objects it churns per packet, so hot-path acquire and
-// release are a mutex-guarded freelist pop/push that recycle the object's
-// heap capacity (vector buffers, map nodes) instead of freeing it.
+// docs/MEMORY.md): every shard owns pools for the objects it churns per
+// packet, so hot-path acquire and release are a mutex-guarded freelist
+// pop/push that recycle the object's heap capacity (vector buffers, map
+// nodes) instead of freeing it.
 //
 // Shape follows the terichdb DbContextObjCache pattern: checkout returns an
 // RAII Handle; destroying the Handle scrubs the object and returns it to the
@@ -15,9 +15,9 @@
 //    buffers pin unbounded memory). Oversized objects are freed on return,
 //    and returns beyond `max_retained_bytes` are freed rather than pooled.
 //  * Handles may outlive the pool facade and may be released from another
-//    thread or lane: the freelist lives in a shared Core kept alive by every
+//    thread: the freelist lives in a shared Core kept alive by every
 //    outstanding Handle, and returns take the owning pool's mutex. Pool
-//    traffic never feeds simulation values, so cross-lane returns cannot
+//    traffic never feeds simulation values, so cross-thread returns cannot
 //    perturb determinism -- only which freelist a buffer sleeps in.
 #pragma once
 
@@ -84,7 +84,7 @@ class ObjPool {
       return p ? p : new T();
     }
 
-    // Safe from any thread; see the cross-lane rule in the header comment.
+    // Safe from any thread; see the cross-thread rule in the header comment.
     void give(T* obj) {
       ObjPoolTraits<T>::reset(*obj);
       const std::size_t b = ObjPoolTraits<T>::bytes_of(*obj);

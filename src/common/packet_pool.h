@@ -13,22 +13,20 @@
 //
 // Call sites keep the existing PacketPtr type: a pooled packet is
 // indistinguishable from a heap one, and a null pool everywhere means plain
-// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough). The deleter and
-// allocator hold a raw pointer to the pool core -- refcounting it through a
-// shared_ptr would cost half a dozen atomic ops per packet -- and the core
-// counts its outstanding packets and control blocks intrusively: it deletes
-// itself when the facade is gone AND the last piece of storage returns, so
-// packets that outlive their pool (or return from another lane) still
-// recycle safely.
+// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough).
 //
-// Retained memory is bounded by total bytes across packets, control blocks,
-// and salvaged key vectors (never by object count -- the PR 7 ratchet
-// lesson); see docs/MEMORY.md for the ownership contract.
+// A pool has ONE owner (docs/MEMORY.md): the shard whose entities allocate
+// from it. Only the thread running that shard acquires and releases, so the
+// freelists take no lock, and the pool must outlive every packet it hands
+// out -- ~PacketPool aborts if one is still outstanding. Retained memory is
+// bounded by total bytes across packets, control blocks, and salvaged key
+// vectors (never by object count -- the PR 7 ratchet lesson).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/packet.h"
 
@@ -50,9 +48,9 @@ class PacketPool {
   // aggregate's member initializers are not usable in a default argument
   // until the enclosing class is complete.
   explicit PacketPool(bool enabled) : PacketPool(enabled, Limits{}) {}
-  PacketPool(bool enabled, Limits limits);
-  // Marks the core orphaned; the core frees itself once the last
-  // outstanding packet and control block have come home.
+  PacketPool(bool enabled, Limits limits) : enabled_(enabled), limits_(limits) {}
+  // Aborts with a message if a packet or control block is still checked
+  // out: its deleter would return it into freed memory.
   ~PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
@@ -73,25 +71,37 @@ class PacketPool {
   CodedMeta& engage_meta(Packet& pkt);
 
   // Byte-bounded retained-memory accounting.
-  std::size_t pooled_bytes() const;
-  std::size_t high_water() const;  // max simultaneously outstanding packets
-  std::size_t outstanding() const;
-  std::uint64_t reused() const;  // freelist + thread-local stash hits
-  std::uint64_t fresh() const;   // global-allocator constructions
+  std::size_t pooled_bytes() const { return pooled_bytes_; }
+  std::size_t high_water() const { return high_water_; }  // Max simultaneously outstanding.
+  std::size_t outstanding() const { return outstanding_; }
+  std::uint64_t reused() const { return reused_; }  // Freelist hits.
+  std::uint64_t fresh() const { return fresh_; }    // Global-allocator constructions.
 
   static bool env_enabled();
 
-  // Opaque shared freelist state (defined in packet_pool.cc); public only so
-  // the file-local deleter and control-block allocator can name it.
-  struct Core;
-
  private:
+  struct Recycle;  // The shared_ptr deleter.
+  template <typename T>
+  struct CtrlAlloc;  // The shared_ptr control-block allocator.
+
+  void release(Packet* p);
+  void* take_block(std::size_t bytes);
+  void give_block(void* b, std::size_t bytes);
+
   bool enabled_;
-  Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
-  // Stash-hit count, kept on the facade because the stash fast path must
-  // not touch the core (no lock) and an empty stash must not pin it.
-  // Plain (non-atomic): acquire is single-threaded per the lane contract.
-  std::uint64_t stash_reused_ = 0;
+  Limits limits_;
+  std::vector<Packet*> free_packets_;
+  std::vector<void*> free_blocks_;
+  std::vector<std::vector<PacketKey>> spare_keys_;
+  // Control blocks are all one size for a given shared_ptr shape; the first
+  // allocation records it, and only that size is pooled.
+  std::size_t block_size_ = 0;
+  std::size_t pooled_bytes_ = 0;
+  std::size_t outstanding_ = 0;  // Packets checked out.
+  std::size_t blocks_out_ = 0;   // Control blocks checked out.
+  std::size_t high_water_ = 0;
+  std::uint64_t reused_ = 0;
+  std::uint64_t fresh_ = 0;
 };
 
 }  // namespace jqos

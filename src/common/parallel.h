@@ -7,13 +7,8 @@
 // result is byte-identical for any thread count, including 1.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace jqos {
 
@@ -28,15 +23,6 @@ namespace jqos {
 // accepted forms -- a typo'd knob must not silently run sequential.
 unsigned resolve_sim_threads(unsigned requested = 0);
 
-// Resolves the intra-shard lane count (conservative parallel simulation;
-// see netsim::Simulator::configure_lanes and exp::WanScenarioParams::lanes).
-//   requested > 0  -> used as-is.
-//   requested == 0 -> JQOS_SIM_LANES if set, else 0 (lanes disabled).
-// Bogus JQOS_SIM_LANES values ("-1", "many", "") throw std::invalid_argument
-// with the same actionable shape as resolve_sim_threads; "0" is valid and
-// means "disabled".
-std::size_t resolve_sim_lanes(std::size_t requested = 0);
-
 // Runs fn(i) for every i in [0, n) across `threads` workers (clamped to
 // [1, n]). Work is handed out dynamically (atomic counter) so imbalanced
 // items still pack well; fn must confine writes to its own item's slots.
@@ -46,51 +32,5 @@ std::size_t resolve_sim_lanes(std::size_t requested = 0);
 // calling thread after all workers have stopped picking up new work.
 void parallel_for_indexed(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn);
-
-// A persistent fork-join pool for callers that dispatch MANY small parallel
-// regions (the lane scheduler runs one per synchronization window, thousands
-// per simulated second) -- spawning threads per region the way
-// parallel_for_indexed does would dominate the work. Workers are created
-// once and parked on a condition variable between regions.
-//
-// run(n, fn) behaves like parallel_for_indexed(n, threads, fn): dynamic
-// index handout, the calling thread participates, and it returns only when
-// every index has finished (a full barrier, which is what gives the lane
-// scheduler its cross-window happens-before edges). When several items
-// throw, the exception of the LOWEST index is rethrown so failure reporting
-// does not depend on thread timing. run() is not reentrant and must always
-// be called from the same (owning) thread.
-class WorkerPool {
- public:
-  // `threads` counts the calling thread: threads <= 1 means no workers are
-  // spawned and run() executes inline.
-  explicit WorkerPool(unsigned threads);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  unsigned thread_count() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
- private:
-  void worker_loop();
-  void work(std::uint64_t gen);
-
-  std::mutex mu_;
-  std::condition_variable start_cv_;  // Owner -> workers: a new region.
-  std::condition_variable done_cv_;   // Workers -> owner: region finished.
-  std::uint64_t generation_ = 0;      // Bumped per region (and on shutdown).
-  bool shutdown_ = false;
-  // Region state, valid while active_workers_ > 0 or the owner is in work().
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t next_ = 0;          // Next index to hand out (under mu_).
-  std::size_t inflight_ = 0;      // Indices handed out but not finished.
-  std::size_t first_error_index_ = 0;
-  std::exception_ptr first_error_;
-  std::vector<std::thread> workers_;
-};
 
 }  // namespace jqos

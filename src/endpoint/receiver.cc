@@ -1,6 +1,7 @@
 #include "endpoint/receiver.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/logging.h"
 #include "fec/coded_batch.h"
@@ -102,6 +103,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   const SimTime now = net_.sim().now();
   const SeqNo seq = pkt->seq;
 
+  const SeqNo horizon_before = fs.evidence_horizon;
   if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;
   auto miss = fs.missing.find(seq);
   if (miss != fs.missing.end()) {
@@ -139,7 +141,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   } else {
     if (seq > fs.next_expected) {
       // Gap: everything in [next_expected, seq) is missing as of now.
-      note_missing(fs, pkt->flow, fs.next_expected, seq);
+      note_missing(fs, pkt->flow, fs.next_expected, horizon_before, seq);
       fs.arrived_ahead[seq] = recovered;
     } else {
       // In-order fast path (see above): no arrived_ahead churn.
@@ -170,10 +172,22 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   }
 }
 
-void Receiver::note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive) {
+void Receiver::note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo horizon,
+                            SeqNo to_exclusive) {
+  // Every sequence number in [next_expected, evidence_horizon) sits in
+  // `missing` or in `arrived_ahead`, so rescanning below the horizon would
+  // only skip tracked entries; each sequence number is examined once per
+  // flow instead of once per arrival while a hole stays open.
+  const SeqNo start = std::max(from, horizon);
+#ifndef NDEBUG
+  for (SeqNo s = from; s < start; ++s) {
+    assert((fs.missing.count(s) != 0 || fs.arrived_ahead.count(s) != 0) &&
+           "Receiver: untracked sequence number below the evidence horizon");
+  }
+#endif
   const SimTime now = net_.sim().now();
   gap_scratch_.clear();
-  for (SeqNo s = from; s < to_exclusive; ++s) {
+  for (SeqNo s = start; s < to_exclusive; ++s) {
     if (fs.missing.count(s) != 0 || fs.arrived_ahead.count(s) != 0) continue;
     fs.missing[s] = MissingInfo{now, now, 1};
     gap_scratch_.push_back(s);

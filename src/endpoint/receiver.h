@@ -216,7 +216,7 @@ class Receiver final : public netsim::Node {
   // Estimated RTT feed (e.g. from the scenario builder's path data).
   void set_rtt_estimate(SimDuration rtt);
 
-  // Packet storage pool for this receiver's lane (see docs/MEMORY.md); null
+  // Packet storage pool of this receiver's shard (see docs/MEMORY.md); null
   // (the default) means heap allocation. Set at build time, before traffic.
   void set_pool(PacketPool* pool) { pool_ = pool; }
 
@@ -281,7 +281,11 @@ class Receiver final : public netsim::Node {
   void send_probe();
   bool any_active_flow() const;
 
-  void note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive);
+  // Records every untracked sequence number in [from, to_exclusive) as
+  // missing and NACKs them. `horizon` is the flow's evidence horizon from
+  // before the arrival that revealed the gap.
+  void note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo horizon,
+                    SeqNo to_exclusive);
   void send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& missing, bool tail,
                  bool probe = false);
   void deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recovered,
@@ -319,9 +323,10 @@ class Receiver final : public netsim::Node {
   // Reused scratch for in-stream self-decodes (fec::decode_batch arena
   // overload): sized by the largest batch seen, recycled across decodes.
   fec::ShardArena decode_arena_;
-  // Per-call scratch recycled across packets (receivers are single-lane, so
-  // no handler runs reentrantly). nack_scratch_ keeps the missing vector and
-  // serialization capacity warm; the others replace per-call locals.
+  // Per-call scratch recycled across packets (receivers run on one event
+  // loop, so no handler runs reentrantly). nack_scratch_ keeps the missing
+  // vector and serialization capacity warm; the others replace per-call
+  // locals.
   NackInfo nack_scratch_;
   std::vector<SeqNo> gap_scratch_;    // note_missing: freshly detected holes
   std::vector<SeqNo> stale_scratch_;  // on_timer: holes due for re-NACK

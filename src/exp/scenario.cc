@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/parallel.h"
 #include "netsim/latency_model.h"
 
 namespace jqos::exp {
@@ -106,37 +105,10 @@ ScenarioShard::ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioPa
       rng_(params.seed),
       registry_(std::make_shared<services::FlowRegistry>()),
       sessions_(registry_) {
-  // Lane planning precedes all construction: configure_lanes refuses a
-  // populated simulator, and build_* pin every entity's events to its lane
-  // via LaneScope. More lanes than paths would leave empty lanes spinning
-  // at every barrier, so clamp; the env knob only applies when the params
-  // leave lanes at the 0 default.
-  std::size_t lanes = params_.lanes != 0 ? params_.lanes : resolve_sim_lanes();
-  lanes = std::min(lanes, paths.size());
-  if (lanes > 0) {
-    lanes_used_ = lanes;
-    sim_.configure_lanes(1 + lanes, resolve_sim_threads(params_.lane_threads));
-  }
-  // One packet pool per lane (a single pool when lanes are off) so no two
-  // lanes ever contend on one freelist; hot returns are same-lane and the
-  // occasional cross-lane return takes the owner's (uncontended) mutex.
-  pools_.reserve(1 + lanes_used_);
-  for (std::size_t i = 0; i < 1 + lanes_used_; ++i) {
-    pools_.push_back(std::make_unique<PacketPool>());
-  }
-  {
-    // Hub lane: DCs, services, and inter-DC links all live in lane 0.
-    const netsim::Simulator::LaneScope hub(sim_, 0);
-    build_overlay(paths);
-  }
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    // Endpoint lane: the path's sender, receiver, app, and direct link.
-    const netsim::Simulator::LaneScope scope(sim_, lane_of_path(i));
-    build_path(std::move(paths[i]));
-  }
+  build_overlay(paths);
+  for (IndexedPath& p : paths) build_path(std::move(p));
   // Arm the fault schedule once the whole shard topology is bound; plan
   // targets living in other shards are skipped (counted skipped_unbound).
-  // The injector scopes each fault into its target's bound lane itself.
   if (!params_.faults.empty()) injector_.arm(params_.faults);
 }
 
@@ -160,7 +132,7 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
   // claims in-transit packets), then the local services.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
     overlay::DataCenter& dc = overlay_->dc(i);
-    dc.set_pool(pools_[0].get());  // DCs and services live in the hub lane.
+    dc.set_pool(&pool_);
     auto fwd = std::make_shared<services::ForwardingService>();
     forwarders_.push_back(fwd);
     dc.install(fwd);
@@ -175,13 +147,12 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
     dc.install(recovery);
   }
 
-  // Inter-DC links transmit from the hub lane; their CE-mark copies draw
-  // from the hub pool.
+  // Inter-DC links' CE-mark copies draw from the shard pool.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
     for (std::size_t j = 0; j < overlay_->dc_count(); ++j) {
       if (i == j) continue;
       netsim::Link* l = net_.link(overlay_->dc(i).id(), overlay_->dc(j).id());
-      if (l != nullptr) l->set_pool(pools_[0].get());
+      if (l != nullptr) l->set_pool(&pool_);
     }
   }
 
@@ -215,9 +186,6 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
 
 void ScenarioShard::build_path(IndexedPath path) {
   geo::PathSample sample = std::move(path.sample);
-  // This path's endpoint lane (0 when lanes are off): paths_ grows in build
-  // order, so the path under construction has local index paths_.size().
-  const std::size_t lane = lane_of_path(paths_.size());
   // Every stochastic choice this path makes -- severity, loss processes,
   // jitter, access links, receiver straggler behavior, workload skew --
   // draws from streams derived from (scenario seed, GLOBAL path index).
@@ -236,12 +204,9 @@ void ScenarioShard::build_path(IndexedPath path) {
   rt->dc1 = overlay_->dc_by_site(sample.dc1.name);
   rt->dc2 = overlay_->dc_by_site(sample.dc2.name);
 
-  // This path's endpoint entities allocate from its lane's pool.
-  PacketPool* lane_pool = pools_[lane].get();
-
   // --- endpoints ---
   rt->sender = std::make_unique<endpoint::Sender>(net_);
-  rt->sender->set_pool(lane_pool);
+  rt->sender->set_pool(&pool_);
 
   endpoint::ReceiverConfig rc;
   rc.dc2 = rt->dc2->id();
@@ -302,7 +267,7 @@ void ScenarioShard::build_path(IndexedPath path) {
           ++rt_raw->delivered_direct;
         }
       });
-  rt->receiver->set_pool(lane_pool);
+  rt->receiver->set_pool(&pool_);
 
   if (params_.failover.enabled) {
     // Overlay up/down notifications reach the sender over a control channel
@@ -356,9 +321,9 @@ void ScenarioShard::build_path(IndexedPath path) {
       net_.add_link(rt->sender->id(), rt->receiver->id(),
                     netsim::make_jitter_latency(jp, path_rng.fork("direct-lat")),
                     std::move(loss));
-  direct_link.set_pool(lane_pool);
+  direct_link.set_pool(&pool_);
   if (!params_.faults.empty()) {
-    injector_.bind_link("direct:" + std::to_string(rt->global_index), &direct_link, lane);
+    injector_.bind_link("direct:" + std::to_string(rt->global_index), &direct_link);
   }
 
   // Access links to the nearby DCs, drawn from path-keyed streams so attach
@@ -367,37 +332,12 @@ void ScenarioShard::build_path(IndexedPath path) {
   Rng access_r = path_rng.fork("access-r");
   overlay_->attach_host(rt->sender->id(), *rt->dc1, msec_f(sample.delta_s_ms), access_s);
   overlay_->attach_host(rt->receiver->id(), *rt->dc2, msec_f(sample.delta_r_ms), access_r);
-
-  // Access-link pools follow the transmitting side: host->DC links send
-  // from this path's lane, DC->host links send from the hub lane.
-  const auto set_link_pool = [this](NodeId from, NodeId to, PacketPool* pool) {
+  for (const auto& [from, to] : {std::pair{rt->sender->id(), rt->dc1->id()},
+                                 std::pair{rt->dc1->id(), rt->sender->id()},
+                                 std::pair{rt->receiver->id(), rt->dc2->id()},
+                                 std::pair{rt->dc2->id(), rt->receiver->id()}}) {
     netsim::Link* l = net_.link(from, to);
-    if (l != nullptr) l->set_pool(pool);
-  };
-  set_link_pool(rt->sender->id(), rt->dc1->id(), lane_pool);
-  set_link_pool(rt->dc1->id(), rt->sender->id(), pools_[0].get());
-  set_link_pool(rt->receiver->id(), rt->dc2->id(), lane_pool);
-  set_link_pool(rt->dc2->id(), rt->receiver->id(), pools_[0].get());
-
-  // Lane mode: the four access links are exactly the edges where this
-  // path's lane meets the hub lane, so their deliveries go through declared
-  // channels (buffered during windows, merged canonically at barriers).
-  // Channel keys derive from the GLOBAL path index -- stable identities, so
-  // the canonical merge order is independent of shard layout. min_delay is
-  // the link's base latency: a true floor, since jitter, brownout penalties,
-  // and the preserve_order clamp only ever add delay. The direct link needs
-  // no channel -- both of its ends live in this path's lane.
-  if (lanes_used_ > 0) {
-    const auto wire = [this](NodeId from, NodeId to, std::uint64_t key,
-                             std::size_t target) {
-      netsim::Link* l = net_.link(from, to);
-      l->set_lane_channel(&sim_.make_channel(key, target, l->base_latency()));
-    };
-    const std::uint64_t base = static_cast<std::uint64_t>(rt->global_index) << 3;
-    wire(rt->sender->id(), rt->dc1->id(), base | 0, 0);
-    wire(rt->dc1->id(), rt->sender->id(), base | 1, lane);
-    wire(rt->receiver->id(), rt->dc2->id(), base | 2, 0);
-    wire(rt->dc2->id(), rt->receiver->id(), base | 3, lane);
+    if (l != nullptr) l->set_pool(&pool_);
   }
 
   // Forwarding-service routing: packets for this receiver entering DC1 ride
@@ -474,8 +414,6 @@ void ScenarioShard::run(SimDuration duration) {
   const auto schedule = transport::CbrApp::make_schedule(
       sim_.now(), sim_.now() + duration, params_.cbr, sched_rng);
   for (std::size_t i = 0; i < paths_.size(); ++i) {
-    // App ticks belong to the path's endpoint lane (no-op when lanes off).
-    const netsim::Simulator::LaneScope scope(sim_, lane_of_path(i));
     const std::uint64_t pseed = path_seed(params_.seed, paths_[i]->global_index);
     transport::CbrParams p = params_.cbr;
     p.initial_skew = static_cast<SimDuration>(

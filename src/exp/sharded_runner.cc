@@ -92,9 +92,10 @@ void ShardedRunner::run(SimDuration duration) {
   threads_used_ = static_cast<unsigned>(std::min<std::size_t>(
       resolve_sim_threads(run_params_.num_threads), plans_.size()));
 
-  // Build + run each shard; workers write only their own slot. The event
-  // queue backend was resolved once in the constructor, so workers never
-  // touch process-global backend state.
+  // Build + run each shard on one worker; workers write only their own
+  // slot. The event queue backend was resolved once in the constructor, so
+  // workers never touch process-global backend state. Shards (and their
+  // lock-free packet pools) are destroyed on this thread, after the join.
   parallel_for_indexed(plans_.size(), threads_used_, [this, duration](std::size_t i) {
     shards_[i] = std::make_unique<ScenarioShard>(plans_[i], params_, backend_);
     shards_[i]->run(duration);

@@ -61,17 +61,14 @@ std::vector<OutageWindow> FaultPlan::windows_for(std::string_view target) const 
   return out;
 }
 
-void FaultInjector::bind_link(const std::string& target, Link* link, std::size_t lane) {
+void FaultInjector::bind_link(const std::string& target, Link* link) {
   assert(link != nullptr);
   links_[target].push_back(link);
-  lanes_[target] = lane;
 }
 
-void FaultInjector::bind_node(const std::string& target, FaultableNode* node,
-                              std::size_t lane) {
+void FaultInjector::bind_node(const std::string& target, FaultableNode* node) {
   assert(node != nullptr);
   nodes_[target] = node;
-  lanes_[target] = lane;
 }
 
 void FaultInjector::arm(const FaultPlan& plan) {
@@ -82,13 +79,6 @@ void FaultInjector::arm_spec(const FaultSpec& spec, std::uint64_t plan_seed) {
   assert(spec.start >= sim_.now() && "fault plans must be armed before run()");
   assert(spec.duration > 0 && "zero-length faults are no-ops; drop them from the plan");
   const SimTime clear_at = spec.start + spec.duration;
-
-  // Fault events belong to the lane that owns the target's state: toggling a
-  // direct link's fault_down must serialize with its path's traffic, a DC
-  // crash with the hub's. A no-op on plain (lane-less) simulators.
-  const auto lane_it = lanes_.find(spec.target);
-  const std::size_t lane = lane_it == lanes_.end() ? 0 : lane_it->second;
-  const Simulator::LaneScope scope(sim_, lane);
 
   if (spec.kind == FaultKind::kNodeCrash) {
     auto it = nodes_.find(spec.target);

@@ -104,11 +104,6 @@ void Link::send(PacketPtr pkt, DeliverFn deliver) {
   const SimTime arrive = admit(pkt, mark);
   if (arrive < 0) return;
   PacketPtr out = mark ? with_ce_mark(pool_, pkt) : std::move(pkt);
-  if (channel_ != nullptr) {
-    channel_->schedule(arrive,
-                       [out = std::move(out), deliver = std::move(deliver)] { deliver(out); });
-    return;
-  }
   sim_.at(arrive, [out = std::move(out), deliver = std::move(deliver)] { deliver(out); });
 }
 
@@ -119,20 +114,12 @@ void Link::send(PacketPtr pkt) {
   if (arrive < 0) return;
   if (mark) {
     PacketPtr out = with_ce_mark(pool_, pkt);
-    if (channel_ != nullptr) {
-      channel_->schedule(arrive, [this, out = std::move(out)] { deliver_(out); });
-    } else {
-      sim_.at(arrive, [this, out = std::move(out)] { deliver_(out); });
-    }
+    sim_.at(arrive, [this, out = std::move(out)] { deliver_(out); });
     return;
   }
   // (this, pkt) is 24 bytes: well inside EventFn's inline buffer, no
   // std::function is copied on the per-packet path, and the moved-in pkt
   // never touches the refcount.
-  if (channel_ != nullptr) {
-    channel_->schedule(arrive, [this, pkt = std::move(pkt)] { deliver_(pkt); });
-    return;
-  }
   sim_.at(arrive, [this, pkt = std::move(pkt)] { deliver_(pkt); });
 }
 

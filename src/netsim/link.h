@@ -83,17 +83,6 @@ class Link {
   void send(PacketPtr pkt);
   void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
 
-  // Lane mode: deliveries on this link cross a lane boundary, so they are
-  // scheduled through `ch` (buffered to the sending lane's outbox during a
-  // window, merged canonically at the barrier) instead of through plain
-  // Simulator::at. The channel's min_delay must be a true lower bound on
-  // this link's latency -- base_latency() is, because jitter, brownout
-  // penalties, and the preserve_order clamp only ever ADD delay. Send-side
-  // state (loss draws, queueing, stats) is still owned by the sending lane;
-  // only the delivery callback migrates.
-  void set_lane_channel(Simulator::Channel* ch) { channel_ = ch; }
-  Simulator::Channel* lane_channel() const { return channel_; }
-
   NodeId from() const { return from_; }
   NodeId to() const { return to_; }
   const LinkStats& stats() const { return stats_; }
@@ -117,7 +106,7 @@ class Link {
   void clear_degraded() { degraded_ = false; }
   bool degraded() const { return degraded_; }
 
-  // Packet storage pool for the lane this link's sender runs in (see
+  // Packet storage pool of the shard this link belongs to (see
   // docs/MEMORY.md). Only the copy-on-CE-mark path allocates here; null
   // (the default) means heap allocation. Set at build time, before traffic.
   void set_pool(PacketPool* pool) { pool_ = pool; }
@@ -182,8 +171,6 @@ class Link {
   std::size_t backlog_bytes_ = 0;
   // Registered delivery sink for the zero-argument send().
   DeliverFn deliver_;
-  // Cross-lane delivery channel (lane mode only; null = same-lane edge).
-  Simulator::Channel* channel_ = nullptr;
   PacketPool* pool_ = nullptr;
   LinkStats stats_;
   // Fault-layer state; see set_fault_down()/set_degraded().

@@ -34,7 +34,7 @@ Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossMod
   ref.set_deliver([this, to](const PacketPtr& delivered) {
     Node* n = node(to);
     if (n == nullptr) {
-      routing_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++routing_failures_;
       return;
     }
     n->handle_packet(delivered);
@@ -57,7 +57,7 @@ Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossMod
 void Network::send(NodeId from, PacketPtr pkt) {
   Link* l = link(from, pkt->dst);
   if (l == nullptr) {
-    routing_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++routing_failures_;
     JQOS_WARN("no link " << from << " -> " << pkt->dst << " for " << to_string(pkt->type));
     return;
   }

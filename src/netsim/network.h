@@ -4,7 +4,6 @@
 // processes and hands surviving packets to the destination node.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <utility>
@@ -85,9 +84,7 @@ class Network {
     for (const auto& [key, l] : links_) fn(*l);
   }
 
-  std::uint64_t routing_failures() const {
-    return routing_failures_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t routing_failures() const { return routing_failures_; }
 
  private:
   Simulator& sim_;
@@ -105,9 +102,7 @@ class Network {
   std::vector<Node*> nodes_;
   std::vector<std::vector<std::pair<NodeId, Link*>>> out_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
-  // Atomic: in lane mode a delivery sink (which counts unattached targets)
-  // runs in the RECEIVING lane while Network::send runs in senders' lanes.
-  std::atomic<std::uint64_t> routing_failures_{0};
+  std::uint64_t routing_failures_ = 0;
 };
 
 }  // namespace jqos::netsim

@@ -1,64 +1,21 @@
 #include "netsim/simulator.h"
 
-#include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 namespace jqos::netsim {
-namespace {
-
-// The ambient lane context of this thread. Set by LaneScope (build-time
-// wiring, serial handlers) and by the window dispatch loop; consulted by
-// now()/at()/after()/cancel() and Channel::schedule. Keyed by the Simulator
-// pointer so several shards' simulators can interleave on one thread
-// without confusing each other.
-struct LaneTls {
-  Simulator* sim = nullptr;
-  std::size_t lane = 0;
-  SimTime now = 0;         // Executing event's timestamp (windows only).
-  SimTime window_end = 0;  // Exclusive end of the current window.
-  bool in_window = false;
-};
-thread_local LaneTls g_tls;
-
-// EventQueue ids use bits [0,24) for the slot and [32,64) for the
-// generation; bits [24,32) are always zero and carry the lane tag here.
-constexpr int kLaneTagShift = 24;
-constexpr EventId kLaneTagMask = EventId{0xffu} << kLaneTagShift;
-constexpr EventId kSerialTag = 0xffu;
-
-EventId tag_id(std::size_t lane, EventId raw) {
-  const EventId tag = lane == Simulator::kSerialLane ? kSerialTag : static_cast<EventId>(lane);
-  return raw | (tag << kLaneTagShift);
-}
-
-std::string us(SimTime t) { return std::to_string(t) + "us"; }
-
-}  // namespace
-
-// ---------------------------------------------------------------- plain mode
 
 EventId Simulator::at(SimTime t, EventFn fn) {
-  if (!lane_mode_) {
-    if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
-    return queue_.push(t, std::move(fn));
-  }
-  return lane_push(t, std::move(fn), /*is_delay=*/false, 0);
+  if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
+  return queue_.push(t, std::move(fn));
 }
 
 EventId Simulator::after(SimDuration d, EventFn fn) {
   if (d < 0) d = 0;
-  if (!lane_mode_) return queue_.push(now_ + d, std::move(fn));
-  return lane_push(0, std::move(fn), /*is_delay=*/true, d);
+  return queue_.push(now_ + d, std::move(fn));
 }
 
 void Simulator::run() {
-  if (lane_mode_) {
-    run_lanes(kMaxSimTime - 1, /*settle_now=*/false);
-    return;
-  }
   // One drain call empties the queue: events scheduled by handlers during
   // the drain (always >= now_) are picked up by the same batched loop.
   queue_.drain(std::numeric_limits<SimTime>::max(), [this](SimTime at, EventFn&& fn) {
@@ -69,10 +26,6 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime deadline) {
-  if (lane_mode_) {
-    run_lanes(std::min(deadline, kMaxSimTime - 1), /*settle_now=*/true);
-    return;
-  }
   queue_.drain(deadline, [this](SimTime at, EventFn&& fn) {
     now_ = at;
     ++processed_;
@@ -82,11 +35,6 @@ void Simulator::run_until(SimTime deadline) {
 }
 
 std::size_t Simulator::step(std::size_t n) {
-  if (lane_mode_) {
-    throw std::logic_error(
-        "Simulator::step: unavailable in lane mode (events advance in whole "
-        "windows); drive the clock with run_until instead");
-  }
   std::size_t ran = 0;
   while (ran < n && !queue_.empty()) {
     auto [at, fn] = queue_.pop();
@@ -96,306 +44,6 @@ std::size_t Simulator::step(std::size_t n) {
     fn();
   }
   return ran;
-}
-
-// ----------------------------------------------------------------- lane mode
-
-void Simulator::configure_lanes(std::size_t lanes, unsigned threads) {
-  if (lane_mode_) {
-    throw std::logic_error("Simulator::configure_lanes: lanes already configured");
-  }
-  if (lanes == 0 || lanes > kMaxLanes) {
-    throw std::invalid_argument(
-        "Simulator::configure_lanes: lane count " + std::to_string(lanes) +
-        " is invalid; expected 1.." + std::to_string(kMaxLanes) +
-        " (use WanScenarioParams::lanes = 0 / unset JQOS_SIM_LANES to disable lanes)");
-  }
-  lanes_.resize(lanes);
-  lanes_[0].q = &queue_;
-  for (std::size_t i = 1; i < lanes; ++i) {
-    lanes_[i].owned = std::make_unique<EventQueue>(queue_.backend());
-    lanes_[i].q = lanes_[i].owned.get();
-  }
-  serial_ = std::make_unique<EventQueue>(queue_.backend());
-  lane_threads_ = threads == 0 ? 1 : threads;
-  if (lane_threads_ > lanes) lane_threads_ = static_cast<unsigned>(lanes);
-  if (lane_threads_ > 1) pool_ = std::make_unique<WorkerPool>(lane_threads_);
-  lane_mode_ = true;
-}
-
-SimTime Simulator::lane_now() const {
-  if (g_tls.sim == this && g_tls.in_window) return g_tls.now;
-  return now_;
-}
-
-bool Simulator::lanes_idle() const {
-  for (const auto& lane : lanes_) {
-    if (!lane.q->empty()) return false;
-  }
-  return serial_->empty();
-}
-
-std::size_t Simulator::ambient_lane() const {
-  return g_tls.sim == this ? g_tls.lane : 0;
-}
-
-std::size_t Simulator::current_lane() const { return lane_mode_ ? ambient_lane() : 0; }
-
-EventQueue& Simulator::lane_queue(std::size_t lane) {
-  if (!lane_mode_) return queue_;
-  if (lane == kSerialLane) return *serial_;
-  if (lane >= lanes_.size()) {
-    throw std::invalid_argument("Simulator::lane_queue: no lane " + std::to_string(lane));
-  }
-  return *lanes_[lane].q;
-}
-
-EventId Simulator::lane_push(SimTime t, EventFn&& fn, bool is_delay, SimDuration d) {
-  const bool here = g_tls.sim == this;
-  const SimTime ref = here && g_tls.in_window ? g_tls.now : now_;
-  if (is_delay) {
-    t = ref + d;
-  } else if (t < ref) {
-    throw std::invalid_argument("Simulator::at: time in the past");
-  }
-  const std::size_t lane = here ? g_tls.lane : 0;
-  if (lane == kSerialLane) return tag_id(lane, serial_->push(t, std::move(fn)));
-  return tag_id(lane, lanes_[lane].q->push(t, std::move(fn)));
-}
-
-void Simulator::cancel(EventId id) {
-  if (!lane_mode_) {
-    queue_.cancel(id);
-    return;
-  }
-  const auto tag = static_cast<std::size_t>((id & kLaneTagMask) >> kLaneTagShift);
-  const std::size_t lane = tag == kSerialTag ? kSerialLane : tag;
-  const EventId raw = id & ~kLaneTagMask;
-  if (g_tls.sim == this && g_tls.in_window) {
-    // Mid-window a lane may only touch its own queue. A foreign-lane id is
-    // an O(1) no-op: by the lane contract its event either already fired or
-    // belongs to state this lane must not reach into concurrently. (Own-lane
-    // cancels, including of stale ids, behave exactly as in plain mode.)
-    if (lane != g_tls.lane) return;
-    lanes_[lane].q->cancel(raw);
-    return;
-  }
-  if (lane == kSerialLane) {
-    serial_->cancel(raw);
-    return;
-  }
-  if (lane >= lanes_.size()) return;  // Stale id from another configuration.
-  lanes_[lane].q->cancel(raw);
-}
-
-Simulator::Channel& Simulator::make_channel(std::uint64_t key, std::size_t target_lane,
-                                            SimDuration min_delay) {
-  if (!lane_mode_) {
-    throw std::logic_error("Simulator::make_channel: call configure_lanes first");
-  }
-  if (g_tls.sim == this && g_tls.in_window) {
-    throw std::logic_error("Simulator::make_channel: cannot declare channels mid-window");
-  }
-  if (target_lane != kSerialLane && target_lane >= lanes_.size()) {
-    throw std::invalid_argument("Simulator::make_channel: no lane " +
-                                std::to_string(target_lane));
-  }
-  if (target_lane != kSerialLane) {
-    if (min_delay <= 0) {
-      throw std::invalid_argument(
-          "Simulator::make_channel: channel " + std::to_string(key) +
-          " declares zero lookahead (min_delay=" + std::to_string(min_delay) +
-          "); a cross-lane edge with no minimum latency cannot be simulated "
-          "conservatively -- keep both endpoints in one lane, or give the "
-          "edge a positive propagation floor");
-    }
-    lookahead_ = std::min(lookahead_, min_delay);
-  }
-  for (const auto& c : channels_) {
-    if (c->key_ == key) {
-      throw std::invalid_argument("Simulator::make_channel: duplicate channel key " +
-                                  std::to_string(key));
-    }
-  }
-  channels_.emplace_back(new Channel(this, key, target_lane, min_delay));
-  return *channels_.back();
-}
-
-void Simulator::Channel::schedule(SimTime at, EventFn fn) {
-  sim_->channel_schedule(*this, at, std::move(fn));
-}
-
-void Simulator::push_raw(std::size_t target, SimTime t, EventFn&& fn) {
-  if (target == kSerialLane) {
-    serial_->push(t, std::move(fn));
-  } else {
-    lanes_[target].q->push(t, std::move(fn));
-  }
-}
-
-void Simulator::channel_schedule(Channel& ch, SimTime t, EventFn&& fn) {
-  if (g_tls.sim == this && g_tls.in_window) {
-    if (t < g_tls.window_end) {
-      throw std::logic_error(
-          "Simulator: conservative lookahead violated on channel " + std::to_string(ch.key_) +
-          ": event for " + us(t) + " is inside the executing window (ends " +
-          us(g_tls.window_end) + "); cross-lane events must honor the channel's declared "
-          "min_delay (" + us(ch.min_delay_) + " here, global lookahead " + us(lookahead_) +
-          ") -- a same-time cross-lane edge cannot be simulated conservatively");
-    }
-#ifndef NDEBUG
-    // One source lane per channel per window: the sequence counter below is
-    // unsynchronized on purpose (a race-free atomic would still make the
-    // merge order depend on thread interleaving). Windows have strictly
-    // increasing end times within a run, so window_end identifies the window.
-    if (ch.dbg_window_ == g_tls.window_end) {
-      assert(ch.dbg_lane_ == g_tls.lane &&
-             "Simulator: two lanes scheduled on one channel in the same window");
-    } else {
-      ch.dbg_window_ = g_tls.window_end;
-      ch.dbg_lane_ = g_tls.lane;
-    }
-#endif
-    auto& outbox = lanes_[g_tls.lane].outbox;
-    outbox.push_back(Outmsg{t, ch.key_, ch.seq_++, ch.target_, std::move(fn)});
-    return;
-  }
-  // Outside windows -- build time, serial-at-barrier handlers, drains
-  // between runs -- execution is single-threaded and already deterministic,
-  // so inject directly. The sequence still advances: the channel's send
-  // order is one monotone stream regardless of which side of a window each
-  // send happened on.
-  if (t < now_) {
-    throw std::invalid_argument("Simulator: channel " + std::to_string(ch.key_) +
-                                " schedule at " + us(t) + " is in the past (now " +
-                                us(now_) + ")");
-  }
-  ch.seq_++;
-  push_raw(ch.target_, t, std::move(fn));
-}
-
-Simulator::LaneScope::LaneScope(Simulator& sim, std::size_t lane) {
-  if (g_tls.sim == &sim && g_tls.in_window) {
-    throw std::logic_error("Simulator::LaneScope: the executing lane cannot be overridden "
-                           "inside a window");
-  }
-  if (sim.lane_mode_ && lane != kSerialLane && lane >= sim.lanes_.size()) {
-    throw std::invalid_argument("Simulator::LaneScope: no lane " + std::to_string(lane));
-  }
-  prev_sim_ = g_tls.sim;
-  prev_lane_ = g_tls.lane;
-  prev_now_ = g_tls.now;
-  prev_window_end_ = g_tls.window_end;
-  prev_in_window_ = g_tls.in_window;
-  g_tls = LaneTls{&sim, lane, 0, 0, false};
-}
-
-Simulator::LaneScope::~LaneScope() {
-  g_tls = LaneTls{prev_sim_, prev_lane_, prev_now_, prev_window_end_, prev_in_window_};
-}
-
-SimTime Simulator::run_window(SimTime window_end) {
-  auto drain_one = [this, window_end](std::size_t i) {
-    LaneState& lane = lanes_[i];
-    const LaneTls saved = g_tls;
-    g_tls = LaneTls{this, i, now_, window_end, true};
-    try {
-      // Window [T, E): fire events with time <= E-1. An event exactly AT the
-      // horizon E belongs to the next window (it may be a tie with a
-      // cross-lane injection, and ties are resolved at barriers).
-      lane.window_fired = lane.q->drain(window_end - 1, [](SimTime at, EventFn&& fn) {
-        g_tls.now = at;
-        fn();
-      });
-      // g_tls.now is the timestamp of the lane's last fired event; remember
-      // it so run() can settle the clock on the final event like plain mode.
-      lane.window_last = lane.window_fired > 0 ? g_tls.now : kSimStart - 1;
-    } catch (...) {
-      g_tls = saved;
-      throw;
-    }
-    g_tls = saved;
-  };
-  if (pool_) {
-    pool_->run(lanes_.size(), drain_one);
-  } else {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) drain_one(i);
-  }
-
-  // Barrier: merge the windows' cross-lane events in canonical
-  // (time, channel key, channel sequence) order -- a pure function of the
-  // traffic, independent of lane layout and thread interleaving -- and
-  // inject them into their target queues before the next window begins.
-  SimTime last_fired = kSimStart - 1;
-  inject_scratch_.clear();
-  for (auto& lane : lanes_) {
-    processed_ += lane.window_fired;
-    lane.window_fired = 0;
-    last_fired = std::max(last_fired, lane.window_last);
-    for (auto& msg : lane.outbox) inject_scratch_.push_back(std::move(msg));
-    lane.outbox.clear();
-  }
-  std::sort(inject_scratch_.begin(), inject_scratch_.end(),
-            [](const Outmsg& a, const Outmsg& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.key != b.key) return a.key < b.key;
-              return a.seq < b.seq;
-            });
-  for (auto& msg : inject_scratch_) push_raw(msg.target, msg.at, std::move(msg.fn));
-  inject_scratch_.clear();
-  return last_fired;
-}
-
-void Simulator::run_lanes(SimTime deadline, bool settle_now) {
-  SimTime last_fired = kSimStart - 1;
-  for (;;) {
-    // 1) Serial events due at this barrier run single-threaded, with every
-    // lane parked and the clock at the barrier. Their pushes stay serial
-    // unless they scope into a lane.
-    if (!serial_->empty() && serial_->next_time() <= now_) {
-      const LaneTls saved = g_tls;
-      g_tls = LaneTls{this, kSerialLane, now_, 0, false};
-      try {
-        const std::size_t fired = serial_->drain(now_, [](SimTime, EventFn&& fn) { fn(); });
-        processed_ += fired;
-        if (fired > 0) last_fired = std::max(last_fired, now_);
-      } catch (...) {
-        g_tls = saved;
-        throw;
-      }
-      g_tls = saved;
-    }
-
-    // 2) Find the next thing to do.
-    SimTime m = kMaxSimTime;
-    for (auto& lane : lanes_) {
-      if (!lane.q->empty()) m = std::min(m, lane.q->next_time());
-    }
-    const SimTime next_serial = serial_->empty() ? kMaxSimTime : serial_->next_time();
-    const SimTime first = std::min(m, next_serial);
-    if (first == kMaxSimTime || first > deadline) break;
-    if (next_serial <= m) {
-      // A serial event comes first (ties go to the serial lane -- the
-      // convention that makes session bookkeeping observe a settled world).
-      now_ = next_serial;
-      continue;
-    }
-
-    // 3) Window [now_, e): every lane may run to e-1 because no cross-lane
-    // event can be injected earlier than m + lookahead.
-    SimTime e = lookahead_ >= kMaxSimTime - m ? kMaxSimTime : m + lookahead_;
-    e = std::min(e, next_serial);
-    e = std::min(e, deadline + 1);  // Callers cap deadline at kMaxSimTime-1.
-    last_fired = std::max(last_fired, run_window(e));
-    now_ = std::min(e, deadline);
-  }
-  if (settle_now) {
-    if (now_ < deadline) now_ = deadline;
-  } else if (last_fired >= kSimStart) {
-    // run(): like plain mode, the clock settles on the final event, not on
-    // the last barrier.
-    now_ = last_fired;
-  }
 }
 
 }  // namespace jqos::netsim

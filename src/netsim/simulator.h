@@ -11,45 +11,11 @@
 // that lets figure sweeps run millions of simulated packets. Construct with
 // an explicit EvqBackend (or set JQOS_EVQ_BACKEND) to pin the backend; the
 // retained binary heap is the differential-testing reference.
-//
-// --- Lane mode: conservative parallel simulation inside one Simulator ---
-//
-// configure_lanes(n, threads) splits the event space into n LANES, each with
-// its own EventQueue. Lanes advance in parallel between synchronization
-// horizons (BSP / null-message style): a window [T, E) is computed from the
-// global minimum next-event time M and the LOOKAHEAD L -- the smallest
-// minimum delay of any declared cross-lane Channel -- as
-//
-//     E = min(M + L, next serial event, deadline + 1),
-//
-// every lane drains its events with time < E concurrently, and at the
-// barrier all cross-lane events emitted during the window are merged and
-// injected in the canonical order (time, channel key, channel sequence).
-// Because that order is a pure function of the traffic (channel keys are
-// stable identities, channel sequences count sends on one edge), the result
-// is BIT-IDENTICAL across thread counts AND lane counts; only which events
-// may run concurrently changes. docs/DETERMINISM.md states the full
-// contract; tests/lane_sim_test.cc and tests/determinism_fuzz_test.cc pin it.
-//
-// Rules the scheduler enforces at runtime:
-//  * Cross-lane edges must be declared as Channels with min_delay > 0
-//    (zero-lookahead edges cannot be simulated conservatively and are
-//    rejected at make_channel time).
-//  * A Channel::schedule during a window must target a time >= the window
-//    end (the conservative promise); violations throw std::logic_error.
-//  * cancel() of an event belonging to another lane during a window is an
-//    O(1) no-op -- a lane may not reach into a peer's queue mid-window.
-//  * Events needing global reach (session open/close, result finalization)
-//    go to the SERIAL lane (kSerialLane): they run single-threaded at
-//    barriers, with every lane parked and now() == the barrier time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/parallel.h"
 #include "netsim/event_queue.h"
 
 namespace jqos::netsim {
@@ -59,184 +25,38 @@ class Simulator {
   Simulator() = default;
   explicit Simulator(EvqBackend backend) : queue_(backend) {}
 
-  // Inside a lane window this is the executing lane's clock (the timestamp
-  // of the event being dispatched); otherwise the global clock, which at a
-  // barrier equals the barrier time.
-  SimTime now() const { return lane_mode_ ? lane_now() : now_; }
+  SimTime now() const { return now_; }
 
-  // Schedules at an absolute simulated time (must be >= now()). In lane mode
-  // the event joins the AMBIENT lane: the executing lane inside a window,
-  // the innermost LaneScope otherwise (lane 0 when no scope is active).
+  // Schedules at an absolute simulated time (must be >= now()).
   EventId at(SimTime t, EventFn fn);
 
   // Schedules `d` after now(); negative delays clamp to "immediately".
   EventId after(SimDuration d, EventFn fn);
 
-  // O(1); cancelling a fired, cancelled, or unknown id is a no-op. In lane
-  // mode, ids are lane-tagged; see the cross-lane rule above.
-  void cancel(EventId id);
+  // O(1); cancelling a fired, cancelled, or unknown id is a no-op.
+  void cancel(EventId id) { queue_.cancel(id); }
 
-  // Runs events until the queue is empty (lane mode: until every lane and
-  // the serial queue are empty).
+  // Runs events until the queue is empty.
   void run();
 
   // Runs events with timestamp <= deadline, then sets now() = deadline.
   void run_until(SimTime deadline);
 
   // Runs at most `n` further events; returns how many actually ran.
-  // Unavailable in lane mode (events advance in windows): throws.
   std::size_t step(std::size_t n = 1);
 
-  bool idle() const { return lane_mode_ ? lanes_idle() : queue_.empty(); }
+  bool idle() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }
   EvqBackend backend() const { return queue_.backend(); }
 
   // Direct queue access for benches and introspection (slab high-water,
   // batched pop_ready experiments); scheduling should go through at/after.
-  // In lane mode this is lane 0's queue; see lane_queue() for the others.
   EventQueue& queue() { return queue_; }
 
-  // ---- conservative lane mode ----
-
-  // The pseudo-lane for barrier-serial events (see header comment).
-  static constexpr std::size_t kSerialLane = static_cast<std::size_t>(-1);
-  // Lane ids are embedded in EventId's 8 spare bits (the slot index is 24
-  // bits), so at most 254 lanes plus the serial tag.
-  static constexpr std::size_t kMaxLanes = 254;
-
-  // Splits the simulator into `lanes` parallel lanes (ids 0..lanes-1)
-  // drained by up to `threads` workers per window (clamped to the lane
-  // count; any value yields bit-identical results). Must be called before
-  // run()/run_until(), at most once. Events already scheduled belong to
-  // lane 0. Throws std::invalid_argument on a zero or > kMaxLanes count.
-  void configure_lanes(std::size_t lanes, unsigned threads = 1);
-  bool lanes_enabled() const { return lane_mode_; }
-  std::size_t lane_count() const { return lane_mode_ ? lanes_.size() : 1; }
-  unsigned lane_threads() const { return lane_threads_; }
-
-  // The current lookahead: min over all lane-target channels' min_delay
-  // (kMaxSimTime until the first channel is declared).
-  SimDuration lookahead() const { return lookahead_; }
-
-  // Lane-local queue access (introspection/tests). lane may be kSerialLane.
-  EventQueue& lane_queue(std::size_t lane);
-
-  // The ambient lane at()/after() would schedule into right now.
-  std::size_t current_lane() const;
-
-  // RAII ambient-lane selector for build-time wiring and serial handlers
-  // that must place events into a specific lane. Must not be constructed
-  // inside a window (the executing lane is not overridable). On a simulator
-  // without lanes configured this is a no-op shell, so generic code (e.g.
-  // the fault injector) can scope unconditionally.
-  class LaneScope {
-   public:
-    LaneScope(Simulator& sim, std::size_t lane);
-    ~LaneScope();
-    LaneScope(const LaneScope&) = delete;
-    LaneScope& operator=(const LaneScope&) = delete;
-
-   private:
-    Simulator* prev_sim_;
-    std::size_t prev_lane_;
-    SimTime prev_now_;
-    SimTime prev_window_end_;
-    bool prev_in_window_;
-  };
-
-  // A declared cross-lane edge. schedule() during a window buffers the
-  // event in the sending lane's outbox; at the barrier all buffered events
-  // are merged in (time, key, seq) order and injected into their target
-  // lanes. Outside windows (build time, serial handlers) the event is
-  // injected directly -- execution there is already single-threaded and
-  // deterministic. The per-channel sequence counts schedules in channel
-  // order, so the merge order is independent of lane layout and threads.
-  //
-  // ONE SOURCE LANE PER CHANNEL: within a window, at most one lane may
-  // schedule on a given channel. The sequence counter is deliberately
-  // unsynchronized -- an atomic would make the counter race-free but the
-  // *order* of cross-thread increments (and therefore the canonical merge)
-  // would vary run to run, silently breaking determinism. Give each sending
-  // lane its own channel (keys derive from stable identities, so a per-lane
-  // or per-path key is natural); the scenario wiring already does this
-  // (access-link channels are per path-direction, churn serial channels per
-  // path).
-  class Channel {
-   public:
-    std::uint64_t key() const { return key_; }
-    std::size_t target_lane() const { return target_; }
-    SimDuration min_delay() const { return min_delay_; }
-
-    void schedule(SimTime at, EventFn fn);
-
-   private:
-    friend class Simulator;
-    Channel(Simulator* sim, std::uint64_t key, std::size_t target, SimDuration min_delay)
-        : sim_(sim), key_(key), target_(target), min_delay_(min_delay) {}
-
-    Simulator* sim_;
-    std::uint64_t key_;
-    std::size_t target_;
-    SimDuration min_delay_;
-    std::uint64_t seq_ = 0;
-#ifndef NDEBUG
-    // Debug check for the one-source-lane-per-window rule (see above).
-    SimTime dbg_window_ = -1;
-    std::size_t dbg_lane_ = 0;
-#endif
-  };
-
-  // Declares a cross-lane channel. `key` must be unique per simulator and
-  // STABLE (derive it from simulation identities -- path indices, site
-  // names -- never from construction order): it is the canonical tie-break
-  // for same-time cross-lane events. `min_delay` is the conservative
-  // promise: every schedule through this channel is at least min_delay in
-  // the future of its sender. Lane-target channels require min_delay > 0
-  // and lower the global lookahead; serial-target channels do not.
-  // Throws on duplicate keys, unknown lanes, and zero lookahead.
-  Channel& make_channel(std::uint64_t key, std::size_t target_lane, SimDuration min_delay);
-
  private:
-  struct Outmsg {
-    SimTime at;
-    std::uint64_t key;
-    std::uint64_t seq;
-    std::size_t target;
-    EventFn fn;
-  };
-  struct LaneState {
-    EventQueue* q = nullptr;            // lanes_[0] aliases queue_.
-    std::unique_ptr<EventQueue> owned;  // Lanes 1..n-1 own their queue.
-    std::vector<Outmsg> outbox;
-    std::size_t window_fired = 0;
-    SimTime window_last = 0;  // Timestamp of the window's last fired event.
-  };
-
-  SimTime lane_now() const;
-  bool lanes_idle() const;
-  std::size_t ambient_lane() const;
-  EventId lane_push(SimTime t, EventFn&& fn, bool is_delay, SimDuration d);
-  void push_raw(std::size_t target, SimTime t, EventFn&& fn);
-  void channel_schedule(Channel& ch, SimTime t, EventFn&& fn);
-  void run_lanes(SimTime deadline, bool settle_now);
-  // Drains every lane to window_end-1 (in parallel when a pool exists) and
-  // merges the outboxes; returns the latest fired timestamp (kSimStart-1
-  // when the window fired nothing).
-  SimTime run_window(SimTime window_end);
-
   EventQueue queue_;
   SimTime now_ = kSimStart;
   std::uint64_t processed_ = 0;
-
-  // ---- lane mode state (empty/unused until configure_lanes) ----
-  bool lane_mode_ = false;
-  unsigned lane_threads_ = 1;
-  SimDuration lookahead_ = kMaxSimTime;
-  std::vector<LaneState> lanes_;
-  std::unique_ptr<EventQueue> serial_;
-  std::vector<std::unique_ptr<Channel>> channels_;
-  std::unique_ptr<WorkerPool> pool_;
-  std::vector<Outmsg> inject_scratch_;
 };
 
 }  // namespace jqos::netsim

@@ -4,7 +4,9 @@ namespace jqos::services {
 
 void CacheStore::put(const PacketPtr& pkt, SimTime now, SimDuration ttl) {
   ++stats_.puts;
+  sweep(now);
   const PacketKey key = pkt->key();
+  expiry_.emplace_back(now + ttl, key);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Refresh: replace payload and TTL, move to MRU position.
@@ -47,15 +49,14 @@ PacketPtr CacheStore::get(const PacketKey& key, SimTime now) {
 
 std::size_t CacheStore::sweep(SimTime now) {
   std::size_t reclaimed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.expires_at <= now) {
-      auto doomed = it++;
-      ++stats_.expirations;
-      erase(doomed);
-      ++reclaimed;
-    } else {
-      ++it;
-    }
+  while (!expiry_.empty() && expiry_.front().first <= now) {
+    const auto [deadline, key] = expiry_.front();
+    expiry_.pop_front();
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.expires_at != deadline) continue;  // Stale.
+    ++stats_.expirations;
+    erase(it);
+    ++reclaimed;
   }
   return reclaimed;
 }

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <unordered_map>
+#include <utility>
 
 #include "common/packet.h"
 
@@ -28,15 +30,21 @@ class CacheStore {
   // max_bytes bounds the sum of stored payload sizes; 0 means unbounded.
   explicit CacheStore(std::uint64_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
-  // Stores (or refreshes) a packet under its key until now + ttl.
+  // Stores (or refreshes) a packet under its key until now + ttl. Sweeps
+  // first, so under steady insertion the store holds about one TTL of puts;
+  // each put reclaims at most the entries that expired since the last one,
+  // amortized O(1).
   void put(const PacketPtr& pkt, SimTime now, SimDuration ttl);
 
   // Retrieves a live entry; expired entries count as misses and are
   // reclaimed lazily.
   PacketPtr get(const PacketKey& key, SimTime now);
 
-  // Drops every entry whose deadline has passed; returns the number
-  // reclaimed. Called opportunistically by the owning service.
+  // Drops expired entries in put order, stopping at the first one still
+  // live; returns the number reclaimed. With one TTL for every put (the
+  // caching service's case) that is every expired entry; an entry put with
+  // a shorter TTL than an earlier, still-live one waits for it (it is never
+  // served after its deadline either way: get() checks the deadline).
   std::size_t sweep(SimTime now);
 
   // Drops everything (DC crash: the cache restarts cold). Cumulative stats
@@ -44,6 +52,7 @@ class CacheStore {
   void clear() {
     entries_.clear();
     lru_.clear();
+    expiry_.clear();
     bytes_ = 0;
   }
 
@@ -65,6 +74,9 @@ class CacheStore {
   std::unordered_map<PacketKey, Entry> entries_;
   // Most-recently-used at the front.
   std::list<PacketKey> lru_;
+  // (deadline, key) per put, oldest first. A record whose entry was since
+  // refreshed, evicted, or reclaimed by get() is stale and skipped.
+  std::deque<std::pair<SimTime, PacketKey>> expiry_;
   CacheStats stats_;
 };
 

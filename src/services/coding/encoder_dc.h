@@ -149,7 +149,7 @@ class CodingEncoderService final : public overlay::DcService {
   // later batch frames and encodes without touching the allocator.
   fec::BatchEncoder encoder_;
   std::vector<PacketPtr> coded_scratch_;
-  // flush_all ordering scratch (services run on one lane; never reentrant).
+  // flush_all ordering scratch (handlers are never reentrant).
   std::vector<FlowId> flush_scratch_;
 
   std::unordered_map<FlowId, Queue> in_qs_;

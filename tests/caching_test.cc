@@ -2,6 +2,7 @@
 // recovery, the hybrid-multicast and mobility (DTN rendezvous) use cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "netsim/network.h"
@@ -47,6 +48,27 @@ TEST(CacheStore, SweepReclaimsExpired) {
   for (SeqNo s = 10; s < 15; ++s) store.put(cached_data(1, s), 0, sec(100));
   EXPECT_EQ(store.sweep(sec(2)), 10u);
   EXPECT_EQ(store.size(), 5u);
+}
+
+TEST(CacheStore, PutsSweepSoSizeStaysBoundedUnderSteadyInsertion) {
+  // One put per millisecond with a 100 ms TTL and nobody ever pulling: the
+  // store must not keep every packet it was sent. Each put reclaims what
+  // has expired, so it holds one TTL's worth of puts, well under two.
+  CacheStore store;
+  constexpr SimDuration kTtl = msec(100);
+  constexpr std::size_t kPutsPerTtl = 100;
+  std::size_t peak = 0;
+  for (SeqNo s = 0; s < 20 * kPutsPerTtl; ++s) {
+    const SimTime now = msec(static_cast<std::int64_t>(s));
+    store.put(cached_data(1, s), now, kTtl);
+    peak = std::max(peak, store.size());
+  }
+  EXPECT_LE(peak, kPutsPerTtl + 1);
+  EXPECT_GE(store.size(), kPutsPerTtl);  // Live entries are kept.
+  EXPECT_GT(store.stats().expirations, 0u);
+  // The newest entry is still served; an entry older than the TTL is not.
+  EXPECT_NE(store.get(PacketKey{1, 20 * kPutsPerTtl - 1}, msec(2000)), nullptr);
+  EXPECT_EQ(store.get(PacketKey{1, 10}, msec(2000)), nullptr);
 }
 
 TEST(CacheStore, RefreshExtendsTtlAndUpdatesBytes) {

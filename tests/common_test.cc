@@ -1,16 +1,22 @@
 // Unit tests for the common substrate: wire format, packet serialization,
-// NACK payloads, statistics, and the deterministic RNG.
+// NACK payloads, statistics, the deterministic RNG, and the thread-count
+// knob.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.h"
 #include "common/packet.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/wire.h"
+#include "test_guards.h"
 
 namespace jqos {
 namespace {
@@ -581,6 +587,37 @@ TEST(Logging, FormatDuration) {
   EXPECT_EQ(format_duration(500), "500us");
   EXPECT_EQ(format_duration(msec(12)), "12ms");
   EXPECT_EQ(format_duration(sec(3)), "3s");
+}
+
+// ------------------------------- knobs ------------------------------------
+
+using jqos::testing::EnvVarGuard;
+
+TEST(SimKnobs, ResolveSimThreadsRejectsBogusEnv) {
+  for (const char* bad : {"0", "-3", "", "12abc", "garbage", "+"}) {
+    EnvVarGuard env("JQOS_SIM_THREADS", std::string(bad));
+    try {
+      (void)resolve_sim_threads();
+      FAIL() << "JQOS_SIM_THREADS='" << bad << "' accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      // Actionable: names the knob, shows the value, says how to clear it.
+      EXPECT_NE(msg.find("JQOS_SIM_THREADS"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(bad), std::string::npos) << msg;
+      EXPECT_NE(msg.find("Unset"), std::string::npos) << msg;
+    }
+    // An explicit request bypasses the env entirely -- a caller-provided
+    // count must not fail because the environment is broken.
+    EXPECT_EQ(resolve_sim_threads(3), 3u);
+  }
+  {
+    EnvVarGuard env("JQOS_SIM_THREADS", "4");
+    EXPECT_EQ(resolve_sim_threads(), 4u);
+  }
+  {
+    EnvVarGuard env("JQOS_SIM_THREADS", std::nullopt);
+    EXPECT_GE(resolve_sim_threads(), 1u);
+  }
 }
 
 }  // namespace

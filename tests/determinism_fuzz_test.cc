@@ -1,17 +1,13 @@
 // Randomized determinism torture test: ~50 seeded mini-scenarios sweeping
 // the configuration space -- path counts, service selection, direct-send vs
 // path switching, faults, failover, session churn, AQM disciplines, and
-// congestion-control kinds -- each run under several (lanes, lane_threads,
-// event-queue backend) configurations that MUST all produce bit-identical
-// fingerprints. The point is breadth: the targeted determinism suites pin
-// specific mechanisms; this one hunts for interactions nobody thought to
-// pin. Every scenario is derived from a fixed master seed, so a failure
-// reproduces exactly from the printed scenario index.
-//
-// Deliberately NOT asserted: lanes=0 vs lanes>=1 (the classic loop resolves
-// same-microsecond ties by global scheduling order, lanes resolve them
-// canonically), and different shard counts (barriers depend on the shard's
-// local event floor). docs/DETERMINISM.md states both caveats.
+// congestion-control kinds -- each run under several (worker threads,
+// event-queue backend, JQOS_OBJ_POOL) configurations at a fixed shard count
+// that MUST all produce bit-identical fingerprints. The point is breadth:
+// the targeted determinism suites pin specific mechanisms; this one hunts
+// for interactions nobody thought to pin. Every scenario is derived from a
+// fixed master seed, so a failure reproduces exactly from the printed
+// scenario index.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +19,7 @@
 #include "common/rng.h"
 #include "exp/incast.h"
 #include "exp/scenario.h"
+#include "exp/sharded_runner.h"
 #include "geo/path_dataset.h"
 #include "netsim/latency_model.h"
 #include "test_guards.h"
@@ -31,6 +28,7 @@
 namespace jqos {
 namespace {
 
+using jqos::testing::EnvVarGuard;
 using jqos::testing::EvqBackendGuard;
 
 void fnv(std::uint64_t& h, std::uint64_t v) {
@@ -46,10 +44,10 @@ void fnv_d(std::uint64_t& h, double d) {
   fnv(h, u);
 }
 
-// Everything observable from one WAN scenario run, order-sensitively hashed:
-// per-packet outcome traces, recovery samples, service totals, fault and
-// failover counters, and the simulator's event count.
-std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
+// Everything observable from one sharded WAN scenario run, order-sensitively
+// hashed: per-packet outcome traces, recovery samples, service totals, fault
+// and failover counters, and the simulators' event count.
+std::uint64_t wan_fingerprint(const exp::ShardedRunner& sc) {
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < sc.path_count(); ++i) {
     const exp::PathRuntime& rt = sc.path(i);
@@ -81,7 +79,7 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
                           fs.failover_direct_sent, fs.cloud_suppressed}) {
     fnv(h, v);
   }
-  fnv(h, sc.sim().events_processed());
+  fnv(h, sc.total_events());
   return h;
 }
 
@@ -143,38 +141,41 @@ WanCase draw_wan_case(std::uint64_t master, std::uint64_t index) {
   return c;
 }
 
-std::uint64_t run_wan_case(const WanCase& c, std::size_t lanes, unsigned lane_threads,
-                           netsim::EvqBackend backend) {
+// One shard per (DC1, DC2) group: the shard count is fixed by the paths, so
+// only the mechanism axes below vary.
+std::uint64_t run_wan_case(const WanCase& c, unsigned threads, netsim::EvqBackend backend,
+                           bool pooled) {
   const EvqBackendGuard evq(backend);
-  exp::WanScenarioParams p = c.params;
-  p.lanes = lanes;
-  p.lane_threads = lane_threads;
-  exp::WanScenario sc(c.paths, p);
+  // Shards build their pools inside run(), so the guard spans it.
+  const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
+  exp::ShardedRunParams rp;
+  rp.num_shards = 0;
+  rp.num_threads = threads;
+  exp::ShardedRunner sc(c.paths, c.params, rp);
   sc.run(c.duration);
   return wan_fingerprint(sc);
 }
 
-TEST(DeterminismFuzz, WanScenariosInvariantAcrossLanesThreadsBackends) {
+TEST(DeterminismFuzz, WanScenariosInvariantAcrossThreadsBackendsPools) {
   constexpr std::uint64_t kMaster = 0x4a514f53'46555a5aULL;  // "JQOSFUZZ"
   constexpr int kCases = 30;
   for (int i = 0; i < kCases; ++i) {
     SCOPED_TRACE("wan case " + std::to_string(i));
     const WanCase c = draw_wan_case(kMaster, static_cast<std::uint64_t>(i));
-    const std::uint64_t ref =
-        run_wan_case(c, 1, 1, netsim::EvqBackend::kHeap);
-    // A rotating sub-matrix keeps runtime bounded while covering, over the
-    // 30 cases, every (lanes, threads, backend) axis pairing.
-    const std::size_t lanes2 = 2 + static_cast<std::size_t>(i % 3);  // 2..4
-    EXPECT_EQ(ref, run_wan_case(c, lanes2, 2, netsim::EvqBackend::kHeap))
-        << "lanes=" << lanes2 << " threads=2 heap";
-    EXPECT_EQ(ref, run_wan_case(c, 3, 1, netsim::EvqBackend::kLadder))
-        << "lanes=3 threads=1 ladder";
-    EXPECT_EQ(ref, run_wan_case(c, 2, 0, netsim::EvqBackend::kLadder))
-        << "lanes=2 threads=auto ladder";
+    const std::uint64_t ref = run_wan_case(c, 1, netsim::EvqBackend::kHeap, true);
+    // Three variants cover every (backend, pool) pairing against the
+    // reference, two of them on several worker threads.
+    const unsigned threads = 2 + static_cast<unsigned>(i % 2);  // 2..3
+    EXPECT_EQ(ref, run_wan_case(c, threads, netsim::EvqBackend::kHeap, false))
+        << "threads=" << threads << " heap pool=0";
+    EXPECT_EQ(ref, run_wan_case(c, 1, netsim::EvqBackend::kLadder, false))
+        << "threads=1 ladder pool=0";
+    EXPECT_EQ(ref, run_wan_case(c, threads, netsim::EvqBackend::kLadder, true))
+        << "threads=" << threads << " ladder pool=1";
   }
 }
 
-TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
+TEST(DeterminismFuzz, ChurnInvariantAcrossThreadsBackendsPools) {
   constexpr std::uint64_t kMaster = 0x434855524e'5aULL;
   for (int i = 0; i < 10; ++i) {
     SCOPED_TRACE("churn case " + std::to_string(i));
@@ -188,23 +189,23 @@ TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
     cfg.packets_per_second = rng.uniform(50.0, 100.0);
     cfg.max_session_packets = 60;
     cfg.scenario.seed = rng.next_u64();
-    cfg.num_shards = 1;  // FIXED: sketch merge order depends on it.
-    cfg.num_threads = 1;
+    cfg.num_shards = 2;  // FIXED: sketch merge order depends on it.
     if (rng.bernoulli(0.3)) cfg.scenario.failover.enabled = true;
     if (rng.bernoulli(0.3)) {
       cfg.scenario.faults.link_down("direct:0", msec(700), msec(500));
     }
 
-    auto run = [&](std::size_t lanes, unsigned threads, netsim::EvqBackend backend) {
+    auto run = [&](unsigned threads, netsim::EvqBackend backend, bool pooled) {
       const EvqBackendGuard evq(backend);
+      const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
       workload::ChurnConfig c = cfg;
-      c.scenario.lanes = lanes;
-      c.scenario.lane_threads = threads;
+      c.num_threads = threads;
       return workload::run_churn(c).fingerprint();
     };
-    const std::uint64_t ref = run(1, 1, netsim::EvqBackend::kHeap);
-    EXPECT_EQ(ref, run(2 + static_cast<std::size_t>(i % 2), 2, netsim::EvqBackend::kHeap));
-    EXPECT_EQ(ref, run(3, 0, netsim::EvqBackend::kLadder));
+    const std::uint64_t ref = run(1, netsim::EvqBackend::kHeap, true);
+    EXPECT_EQ(ref, run(2, netsim::EvqBackend::kHeap, false)) << "threads=2 heap pool=0";
+    EXPECT_EQ(ref, run(1, netsim::EvqBackend::kLadder, false)) << "threads=1 ladder pool=0";
+    EXPECT_EQ(ref, run(2, netsim::EvqBackend::kLadder, true)) << "threads=2 ladder pool=1";
   }
 }
 

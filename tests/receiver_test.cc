@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "endpoint/receiver.h"
 #include "fec/coded_batch.h"
@@ -85,6 +87,40 @@ TEST(Receiver, GapTriggersImmediateNack) {
   EXPECT_EQ(info->missing, (std::vector<SeqNo>{1, 2}));
   EXPECT_FALSE(info->tail);
   EXPECT_EQ(f.receiver->stats().losses_detected, 2u);
+}
+
+TEST(Receiver, LongOpenHoleNacksEachNewGapOnceInOrder) {
+  // One hole (seq 1) stays open while two thousand later packets arrive
+  // around smaller gaps. Each arrival only examines sequence numbers above
+  // the previous evidence horizon, so every new gap is NACKed exactly once,
+  // in order, and the open hole is never re-reported by an arrival.
+  Fixture f;
+  f.arrive(0);
+  f.arrive(2);
+  for (SeqNo s = 3; s < 2000; ++s) {
+    if (s % 500 == 250 || s % 500 == 251) continue;  // {250, 251}, {750, 751}, ...
+    f.arrive(s);
+  }
+  f.arrive(750);  // A straggler fills a tracked hole: nothing to NACK.
+  f.arrive(2003);
+  f.arrive(1, PacketType::kRecovered);  // The long hole closes at last.
+  f.arrive(2005);
+  f.sim.run_until(msec(20));
+
+  const std::vector<std::vector<SeqNo>> want_missing = {
+      {1}, {250, 251}, {750, 751}, {1250, 1251}, {1750, 1751}, {2000, 2001, 2002}, {2004}};
+  const std::vector<SeqNo> want_expected = {1, 1, 1, 1, 1, 1, 250};
+  const auto nacks = f.dc.of_type(PacketType::kNack);
+  ASSERT_EQ(nacks.size(), want_missing.size());
+  for (std::size_t i = 0; i < nacks.size(); ++i) {
+    SCOPED_TRACE("nack " + std::to_string(i));
+    const auto info = NackInfo::parse(nacks[i]->payload);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_FALSE(info->tail);
+    EXPECT_EQ(info->missing, want_missing[i]);
+    EXPECT_EQ(info->expected, want_expected[i]);
+  }
+  EXPECT_EQ(f.receiver->stats().losses_detected, 13u);
 }
 
 TEST(Receiver, RecoveredPacketFillsHole) {

@@ -42,6 +42,8 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
   }
 
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
+  // Declared first: the pool must outlive every packet the sinks retain.
+  PacketPool pool(/*enabled=*/true);
   netsim::Simulator sim;
   netsim::Network net(sim);
   Sink receiver(net);
@@ -51,8 +53,6 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
                netsim::make_no_loss());
   net.add_link(sender.id(), dc1.id(), netsim::make_fixed_latency(msec(5)),
                netsim::make_no_loss());
-
-  PacketPool pool(/*enabled=*/true);
   sender.set_pool(&pool);
 
   endpoint::SenderPolicy policy;
@@ -89,14 +89,14 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
     GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
   }
 
+  // Declared first: the pool must outlive the receiver's buffered packets.
+  PacketPool pool(/*enabled=*/true);
   netsim::Simulator sim;
   netsim::Network net(sim);
   endpoint::ReceiverConfig rc;
   rc.record_delay_samples = false;  // Per-packet Samples grow unboundedly.
   endpoint::Receiver receiver(net, rc);
   receiver.expect_flow(1);
-
-  PacketPool pool(/*enabled=*/true);
   receiver.set_pool(&pool);
 
   SeqNo seq = 0;

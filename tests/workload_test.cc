@@ -196,38 +196,6 @@ TEST(Churn, FingerprintBitIdenticalAcrossEventQueueBackends) {
   EXPECT_EQ(fp_ladder, fp_heap);
 }
 
-TEST(Churn, FingerprintBitIdenticalAcrossLaneAndThreadCounts) {
-  // Intra-shard lanes under churn: dynamic session open/close, per-path
-  // lane->serial finalize channels, and per-path recovery sketches. At fixed
-  // (num_shards, lanes >= 1) the fingerprint is invariant across lane counts
-  // and lane thread counts. (lanes=0 resolves same-microsecond ties
-  // differently and keeps its own pinned fingerprints above.)
-  ChurnConfig cfg = small_churn();
-  cfg.scenario.lanes = 1;
-  cfg.scenario.lane_threads = 1;
-  const std::uint64_t fp_l1 = run_churn(cfg).fingerprint();
-  cfg.scenario.lanes = 3;
-  const std::uint64_t fp_l3 = run_churn(cfg).fingerprint();
-  cfg.scenario.lanes = 8;  // More lanes than the 4 paths: clamps.
-  cfg.scenario.lane_threads = 2;
-  const std::uint64_t fp_l8t2 = run_churn(cfg).fingerprint();
-  cfg.scenario.lanes = 3;
-  cfg.scenario.lane_threads = 0;  // Auto thread resolution.
-  const std::uint64_t fp_auto = run_churn(cfg).fingerprint();
-  EXPECT_EQ(fp_l1, fp_l3);
-  EXPECT_EQ(fp_l1, fp_l8t2);
-  EXPECT_EQ(fp_l1, fp_auto);
-
-  // Session accounting stays exact under lanes: leak-free drain, every
-  // packet classified.
-  const ChurnResult r = run_churn(cfg);
-  EXPECT_GT(r.totals.sessions_opened, 100u);
-  EXPECT_EQ(r.totals.sessions_opened, r.totals.sessions_completed);
-  EXPECT_EQ(r.totals.leaked_flows, 0u);
-  EXPECT_EQ(r.totals.delivered_direct + r.totals.recovered + r.totals.lost,
-            r.totals.packets_sent);
-}
-
 TEST(Churn, SketchRankErrorWithinOnePercentAtReportedQuantiles) {
   // The sketch configuration the churn runner uses (k=1024) must hold rank
   // error <= 1% at every quantile bench_churn reports. Feeding 0..n-1 makes
